@@ -151,6 +151,29 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _cmd_corpus(args: argparse.Namespace) -> int:
+    from repro.check import corpus
+
+    def progress(i: int, case: FuzzCase) -> None:
+        if i % 50 == 0:
+            print(f"[{i}] {case.describe()}", file=sys.stderr)
+
+    if args.write:
+        n = corpus.write_corpus(progress=progress)
+        print(f"engine corpus: wrote {n} cases to {corpus.CORPUS_PATH}")
+        return 0
+    entries = corpus.load_corpus()
+    mismatches = corpus.check_corpus(entries, progress=progress)
+    for m in mismatches:
+        print(m.render())
+    verdict = (
+        "byte-identical" if not mismatches
+        else f"{len(mismatches)} mismatching case(s)"
+    )
+    print(f"engine corpus: {len(entries)} cases — {verdict}")
+    return 0 if not mismatches else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         payload = json.loads(Path(args.payload).read_text(encoding="utf-8"))
@@ -306,6 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_backends)
+
+    p = sub.add_parser(
+        "corpus",
+        help="replay the engine corpus (tests/golden/engine-corpus.json) "
+        "and require byte-identical digests",
+    )
+    p.add_argument(
+        "--write", action="store_true",
+        help="regenerate the corpus from the current engine",
+    )
+    p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("verify", help="validate an on-disk result payload")
     p.add_argument("payload", help="snapshot or grid JSON file")
