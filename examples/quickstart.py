@@ -26,10 +26,9 @@ the numbers themselves are identical either way, because the simulator
 is deterministic.
 
 With ``--backend NAME``, every loop runs through the named execution
-backend (``reference``, ``vectorized``, ``real``; also selectable via
-``REPRO_BACKEND``). ``vectorized`` produces exactly the same numbers as
-``reference``, just faster — try
-``python examples/quickstart.py --backend vectorized``.
+backend (also selectable via ``REPRO_BACKEND``): ``reference``, the
+deterministic simulated engine and the default, or ``real``, which runs
+each loop's schedule on actual Python threads in wall-clock time.
 """
 
 from __future__ import annotations

@@ -1,23 +1,24 @@
-"""Shared request/setup plumbing for execution backends.
+"""Request/setup plumbing for the simulated engine.
 
 Every backend receives the same :class:`LoopRunRequest` (the arguments
-of :meth:`repro.runtime.executor.LoopExecutor.run`, bundled) and the
-simulator backends share the same prologue and epilogue:
+of :meth:`repro.runtime.executor.LoopExecutor.run`, bundled). Both paths
+of the simulated engine share one prologue, one publication path and
+one epilogue:
 
 * :func:`prepare_run` — validation, conformance hello, per-thread entry
   and wake times, the cost prefix sum, rates, the
   :class:`~repro.runtime.context.LoopContext` and the scheduler
-  instance. Everything here is backend-independent, so the reference
-  and vectorized engines cannot drift apart on setup.
+  instance.
+* :class:`LoopColumns` — the run's instrument samples, one flat column
+  per instrument in call order, published once at loop end.
 * :func:`finish_run` — the executed-iteration-count self-check, the
   :class:`~repro.runtime.executor.LoopResult`, the conformance goodbye
   and the metrics publication.
 
 The epilogue takes the pool attempt counters *explicitly* rather than
-reading the work-share structure: a batching backend that advances the
-pool in closed form never touches the shared structure's atomics, yet
-must publish the same ``workshare_take_attempts_total`` a stepped run
-would.
+reading the work-share structure: the closed-form pool drain never
+touches the shared structure's atomics, yet must publish the same
+``workshare_take_attempts_total`` a stepped run would.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class RunSetup:
     scheduler: LoopScheduler
     #: Per-tid time at which the thread finishes the loop-start call and
     #: issues its first dispatch (entry + wake stagger + jitter +
-    #: loop_start).
+    #: loop_start), as plain floats.
     wake_begin: list[float] = field(default_factory=list)
     dec_mark: int = 0
     track_obs: bool = False
@@ -90,9 +91,8 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
     """Validate the request and build the shared per-run state.
 
     Mirrors the historical prologue of ``LoopExecutor.run`` verbatim —
-    including the single ``rng.uniform`` wake-jitter draw, so any two
-    backends given the same request consume the random stream
-    identically.
+    including the single ``rng.uniform`` wake-jitter draw, so every run
+    given the same request consumes the random stream identically.
     """
     loop, costs, spec = req.loop, req.costs, req.spec
     if len(costs) != loop.n_iterations:
@@ -156,9 +156,11 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
             executor.overhead.wake_stagger * executor.team.cpu_of(tid)
             + jitter[tid]
         )
-        wake_begin.append(
+        # float(): the jitter draw is a numpy scalar, which must not
+        # leak into result times.
+        wake_begin.append(float(
             entry[tid] + wake + executor.overhead.loop_start(core_types[tid])
-        )
+        ))
 
     track_obs = executor.obs.enabled
     srec = getattr(executor.obs, "spans", None)
@@ -193,9 +195,8 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
 
 @dataclass
 class LoopInstruments:
-    """The per-run time-resolved instruments, shared by all simulated
-    backends (the reference engine feeds them per dispatch, the
-    vectorized engine in bulk columns at loop end)."""
+    """The per-run time-resolved instruments (fed through
+    :class:`LoopColumns`)."""
 
     util_of: list
     rate_of: list
@@ -242,6 +243,51 @@ def make_instruments(
     )
     executor._instrument_cache[loop.name] = inst
     return inst
+
+
+class LoopColumns:
+    """One run's instrument samples, a flat column per instrument.
+
+    The engine appends each sample where a scalar ``observe`` call
+    would go, in the same order; :meth:`flush` hands every column to its
+    instrument's bulk entry point once, at loop end. The result is the
+    state the scalar calls would leave: only the engine feeds a loop's
+    instruments during a run, and each bulk call replays its column in
+    order. Threads of one core type share their instruments, so
+    ``util_of[tid]``/``rate_of[tid]`` are the shared ``(times, values)``
+    column pairs of the thread's instrument.
+    """
+
+    __slots__ = ("util_of", "rate_of", "runnable", "chunk", "dispatch",
+                 "compute", "size", "_inst", "_util", "_rate")
+
+    def __init__(self, inst: LoopInstruments) -> None:
+        self._inst = inst
+        self._util: dict = {}
+        self._rate: dict = {}
+        self.util_of = [
+            self._util.setdefault(ts, ([], [])) for ts in inst.util_of
+        ]
+        self.rate_of = [
+            self._rate.setdefault(ts, ([], [])) for ts in inst.rate_of
+        ]
+        self.runnable: tuple[list, list] = ([], [])
+        self.chunk: tuple[list, list] = ([], [])
+        self.dispatch: list[float] = []
+        self.compute: list[float] = []
+        self.size: list[int] = []
+
+    def flush(self) -> None:
+        inst = self._inst
+        for ts, (t0s, t1s) in self._util.items():
+            ts.observe_spans(t0s, t1s)
+        for ts, (times, rates) in self._rate.items():
+            ts.observe_many(times, rates)
+        inst.runnable_ts.observe_many(*self.runnable)
+        inst.chunk_ts.observe_many(*self.chunk)
+        inst.dispatch_digest.observe_many(self.dispatch)
+        inst.compute_digest.observe_many(self.compute)
+        inst.size_digest.observe_many(self.size)
 
 
 def finish_run(

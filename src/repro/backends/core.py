@@ -4,21 +4,17 @@ An :class:`ExecutionBackend` is the engine that actually plays out one
 runtime-scheduled parallel loop for a
 :class:`~repro.runtime.executor.LoopExecutor`. The executor owns the
 *what* (team, cost vector, schedule spec, models); the backend owns the
-*how* (event-driven simulation, closed-form numpy batches, real
-threads). All backends consume the same
+*how* (simulated virtual time or real threads). All backends consume the same
 :class:`~repro.backends.common.LoopRunRequest` and return the same
 :class:`~repro.runtime.executor.LoopResult`, so everything above the
 executor — program runner, fleet, experiments — is backend-agnostic.
 
-Three implementations register themselves here:
+Two implementations register themselves here:
 
-* ``reference`` — the discrete-event simulator, one event per dispatch.
-  The semantics every other backend is measured against.
-* ``vectorized`` — a numpy engine that advances uniform chunk batches in
-  closed form and publishes observability in bulk columns, falling back
-  to reference semantics wherever per-dispatch state matters. Decision
-  logs and :class:`~repro.runtime.executor.LoopResult` fields are
-  byte-identical to ``reference`` by construction.
+* ``reference`` — the simulated engine: one discrete event per dispatch,
+  or a closed-form drain for pure fixed-chunk pools (see
+  :mod:`repro.backends.reference`). Deterministic; pinned by the engine
+  corpus (``python -m repro.check corpus``).
 * ``real`` — wraps :mod:`repro.exec_real`: the loop runs on actual
   Python threads in wall-clock time (non-deterministic; cross-validation
   only).
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import abc
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BackendError
@@ -50,47 +45,18 @@ ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "reference"
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can faithfully execute.
-
-    Attributes:
-        simulated: results are virtual-time (False for real threads).
-        deterministic: identical inputs produce identical results.
-        supports_faults: can apply a simulator :class:`FaultPlan` itself
-            (a backend without it must delegate faulted runs elsewhere
-            or refuse them).
-        supports_trace: can feed a :class:`TraceRecorder`.
-        supports_check: can drive a conformance recorder.
-        batched: advances chunk batches in closed form when the
-            scheduler declares a
-            :class:`~repro.sched.base.PoolAdvancement`.
-    """
-
-    simulated: bool = True
-    deterministic: bool = True
-    supports_faults: bool = False
-    supports_trace: bool = False
-    supports_check: bool = False
-    batched: bool = False
-
-
 class ExecutionBackend(abc.ABC):
     """One engine for playing out runtime-scheduled parallel loops.
 
     Lifecycle: the executor instantiates its backend through
     :func:`resolve_backend` and calls :meth:`prepare` once before the
     first loop; :meth:`close` releases whatever :meth:`prepare`
-    acquired. Both default to no-ops — the simulator backends are
-    stateless between loops.
+    acquired. Both default to no-ops — the simulated engine is stateless
+    between loops.
     """
 
     #: Registry key; subclasses override.
     name: str = "?"
-
-    @abc.abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """Static capability flags for this backend."""
 
     def prepare(self, executor: "LoopExecutor") -> None:
         """One-time binding to an executor (thread pools, caches)."""

@@ -11,12 +11,12 @@ This backend is experimental and intentionally coarse:
 
 * results are wall-clock, not virtual-time: ``end_time``/``duration``
   measure the host machine, not the modeled AMP, and vary run to run
-  (``deterministic=False``);
+  non-deterministic;
 * per-thread finish times are not individually tracked by the real
   team, so every thread reports the loop's wall-clock end;
 * locality, ownership and wake jitter are simulator concepts and are
   ignored (the request's rng is still consumed exactly as the simulated
-  backends consume it, keeping downstream stream alignment intact).
+  engine consumes it, keeping downstream stream alignment intact).
 
 Its purpose is cross-validation — comparing decision *behaviour*
 against the simulator, as the differential harness in ``repro.check``
@@ -29,7 +29,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.backends.common import LoopRunRequest, prepare_run
-from repro.backends.core import BackendCapabilities, ExecutionBackend
+from repro.backends.core import ExecutionBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import LoopExecutor, LoopResult
@@ -48,16 +48,6 @@ class RealBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._team = None
         self._team_key = None
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            simulated=False,
-            deterministic=False,
-            supports_faults=False,
-            supports_trace=False,
-            supports_check=True,
-            batched=False,
-        )
 
     def _thread_team(self, executor: "LoopExecutor"):
         from repro.exec_real.team import ThreadTeam
@@ -79,7 +69,7 @@ class RealBackend(ExecutionBackend):
         if req.faults is not None and not getattr(req.faults, "is_empty", True):
             raise BackendError(
                 "the real backend cannot apply simulator fault plans; "
-                "use --backend reference (or vectorized) for faulted runs"
+                "use --backend reference for faulted runs"
             )
         # Shared prologue for stream alignment (the wake-jitter draw) and
         # the conformance hello; the scheduler it builds is discarded —

@@ -5,10 +5,10 @@ Subcommands:
 * ``fuzz`` — deterministic fuzzing campaign over the AID variants
   (CI acceptance: ``fuzz --cases 200 --seed 1`` must report zero
   violations on both platform presets);
-* ``backends`` — differential fuzzing of the vectorized execution
-  backend against the reference simulator: every case must produce a
-  byte-identical decision log and loop result (CI acceptance:
-  ``backends --cases 200`` with and without ``--faults sim``);
+* ``corpus`` — replay the engine corpus (400 recorded cases, plain and
+  under fault plans): every case must reproduce its result, decision
+  log, snapshot and span document byte for byte; ``--write``
+  regenerates it;
 * ``verify`` — structural validation of an on-disk result payload
   (obs snapshot or experiment grid JSON);
 * ``diff`` — differential run of one loop through every variant plus
@@ -89,62 +89,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.out and not result.ok:
         Path(args.out).write_text(
             json.dumps(_failure_artifact(result), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
-        print(f"counterexamples written to {args.out}")
-    return 0 if result.ok else 1
-
-
-def _backend_diff_artifact(result) -> dict:
-    """JSON-serializable record of a diff campaign's counterexamples."""
-    return {
-        "schema": "repro.check.backend_diff/v1",
-        "seed": result.seed,
-        "n_cases": result.n_cases,
-        "backends": list(result.backends),
-        "failures": [
-            {
-                "case": dataclasses.asdict(f.case),
-                "shrunk": dataclasses.asdict(f.shrunk),
-                "field": f.mismatch.field_name,
-                "detail": f.mismatch.detail,
-            }
-            for f in result.failures
-        ],
-    }
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.check.backend_diff import DEFAULT_BACKENDS, diff_fuzz
-
-    backends = (
-        tuple(args.backend) if args.backend else DEFAULT_BACKENDS
-    )
-    if len(backends) < 2:
-        print("need at least two backends to diff", file=sys.stderr)
-        return 2
-
-    def progress(i: int, case: FuzzCase) -> None:
-        if args.progress and i % 25 == 0:
-            print(f"[{i}/{args.cases}] {case.describe()}", file=sys.stderr)
-
-    result = diff_fuzz(
-        args.cases,
-        args.seed,
-        backends=backends,
-        variants=tuple(args.variant) if args.variant else None,
-        platforms=tuple(args.platform) if args.platform else None,
-        faults=args.faults,
-        shrink_failures=not args.no_shrink,
-        max_failures=args.max_failures,
-        progress=progress,
-    )
-    print(result.render())
-    if args.out and not result.ok:
-        Path(args.out).write_text(
-            json.dumps(
-                _backend_diff_artifact(result), indent=2, sort_keys=True
-            ),
             encoding="utf-8",
         )
         print(f"counterexamples written to {args.out}")
@@ -289,46 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser(
-        "backends",
-        help="differential fuzz: vectorized backend vs the reference "
-        "simulator, byte for byte",
-    )
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--backend",
-        action="append",
-        help="backends to compare, first is the baseline (repeatable; "
-        "default: reference, vectorized)",
-    )
-    p.add_argument(
-        "--variant",
-        action="append",
-        help="restrict the schedule pool (repeatable; default covers "
-        "static/dynamic/guided plus the five AID variants)",
-    )
-    p.add_argument(
-        "--platform",
-        action="append",
-        help="platform pool (repeatable; default: the fuzzer's mixed "
-        "preset + synthetic pool)",
-    )
-    p.add_argument(
-        "--faults",
-        choices=("sim",),
-        default=None,
-        help="ride a seeded random fault plan on every case (exercises "
-        "the vectorized backend's reference-delegation path)",
-    )
-    p.add_argument("--no-shrink", action="store_true")
-    p.add_argument("--max-failures", type=int, default=5)
-    p.add_argument(
-        "--out", help="write shrunk counterexamples as JSON on failure"
-    )
-    p.add_argument("--progress", action="store_true")
-    p.set_defaults(func=_cmd_backends)
 
     p = sub.add_parser(
         "corpus",

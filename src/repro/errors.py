@@ -83,4 +83,5 @@ class WatchdogTimeout(FaultError):
 class BackendError(ReproError):
     """Invalid execution-backend selection or misuse of the backend
     protocol (unknown backend name, bad ``REPRO_BACKEND`` value, a
-    backend asked to run a workload outside its capabilities)."""
+    backend asked to run a workload it cannot, e.g. a fault plan on real
+    threads)."""

@@ -5,7 +5,7 @@ Usage::
     aid-experiments list
     aid-experiments fig1 fig4
     aid-experiments all
-    aid-experiments fig67 --backend vectorized
+    aid-experiments fig67 --backend real
     python -m repro.experiments.cli table2
 """
 
@@ -74,8 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend for every simulated loop (reference, "
-        "vectorized, real; default: $REPRO_BACKEND, then reference)",
+        help="execution backend for every loop (reference — the "
+        "simulated engine — or real; default: $REPRO_BACKEND, then "
+        "reference)",
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",

@@ -6,7 +6,7 @@ Usage::
     python -m repro.fleet smoke --jobs 2
     python -m repro.fleet fig6 fig7 --jobs 8 --timeout 120
     python -m repro.fleet fig8 --no-cache --summary-json fleet.json
-    python -m repro.fleet fig6 --backend vectorized --trajectory perf.jsonl
+    python -m repro.fleet fig6 --trajectory perf.jsonl
     python -m repro.fleet --resume          # continue a killed sweep
     python -m repro.fleet scrub --json report.json
     python -m repro.fleet chaos --plans 50 --jobs 2 --json chaos.json
@@ -246,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend for every cell (reference, vectorized, "
-        "real; default: $REPRO_BACKEND, then reference). Part of each "
+        help="execution backend for every cell (reference — the "
+        "simulated engine — or real; default: $REPRO_BACKEND, then "
+        "reference). Part of each "
         "job's digest, so different backends never share cache entries",
     )
     parser.add_argument(

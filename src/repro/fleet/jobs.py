@@ -104,8 +104,8 @@ class JobSpec:
         capture_sf_loop: loop name whose per-invocation estimated-SF
             series the result should carry (Fig. 9c needs this for
             ``bs.price``); None captures nothing.
-        backend: execution-backend name (``"reference"``,
-            ``"vectorized"``, ``"real"``). ``None`` is resolved at
+        backend: execution-backend name (``"reference"``, the simulated
+            engine, or ``"real"``). ``None`` is resolved at
             construction — environment override, then the default — so
             the frozen spec always carries a concrete name: the job
             executes identically wherever it lands (worker processes do

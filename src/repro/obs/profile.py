@@ -13,8 +13,9 @@ Two complementary views of where time goes:
   producing a ranked self-time report of the DES hot path, keyed by a
   scenario digest (the SHA-256 of the profiled
   :class:`~repro.fleet.jobs.JobSpec` identities) so baselines from
-  different grids are never confused. This is the before/after evidence
-  ROADMAP item 1 (vectorized sim core, ≥10x) is judged against.
+  different grids are never confused. It finds hotspots; cProfile
+  distorts the totals, so speed claims come from the ``perfbench/``
+  benchmark instead.
 
 ``python -m repro.obs.report profile`` drives both over the Fig. 6 grid
 and CI uploads the result as the standing baseline artifact.
@@ -30,8 +31,7 @@ from typing import Mapping, Sequence
 
 #: Schema of the JSON document ``report profile --json`` writes.
 #: v2: the document carries the profiled execution backend and the
-#: wall-clock seconds of the grid run (the before/after speedup
-#: evidence for the vectorized engine).
+#: wall-clock seconds of the grid run.
 PROFILE_SCHEMA = "repro.obs.profile/v2"
 
 #: Attribution categories, in display order.
@@ -172,8 +172,8 @@ def profile_grid(
     the paper's Fig. 6 grid (odroid_xu4, all programs, all configs) —
     the ROADMAP-item-1 baseline scenario. ``backend`` selects the
     execution backend for every cell (``None`` = environment override,
-    then ``reference``); the scenario digest covers it, so reference and
-    vectorized baselines of the same grid never get confused.
+    then ``reference``); the scenario digest covers it, so baselines of
+    the same grid on different backends never get confused.
     """
     from repro.amp import presets
     from repro.backends import resolve_backend_name

@@ -522,8 +522,8 @@ def _profile_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend to profile (reference, vectorized, "
-        "real; default: $REPRO_BACKEND, then reference)",
+        help="execution backend to profile (reference — the simulated "
+        "engine — or real; default: $REPRO_BACKEND, then reference)",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",

@@ -14,10 +14,10 @@ Design constraints, in priority order:
 * **Determinism.** Span ids are content-derived hierarchical paths
   (``loop:ep.work#0/t3/c5``), never object identities, and
   :meth:`SpanRecorder.as_doc` canonically sorts spans and edges — so the
-  reference backend (per-dispatch emission in event order) and the
-  vectorized backend (bulk columnar emission at loop end, mirroring
-  ``observe_spans``) serialize byte-identical documents, and merged
-  fleet snapshots inherit the jobs=1 ≡ jobs=N equality contract.
+  simulated engine's heap step (per-dispatch emission in event order)
+  and its closed-form drain (bulk emission per thread at loop end)
+  serialize byte-identical documents, and merged fleet snapshots
+  inherit the jobs=1 ≡ jobs=N equality contract.
 * **Exact tiling.** Within a runtime-scheduled loop, each thread's
   spans tile its busy window ``[entry, finish]`` with no gaps: wake →
   (dispatch → compute)* → final empty take, then the barrier idle span.
@@ -268,10 +268,10 @@ class SpanRecorder:
     ) -> None:
         """Columnar emission for one thread, mirroring ``observe_spans``.
 
-        Arrays must be in dispatch order (the vectorized engine's
-        per-thread columns are); ids continue the same per-(loop, tid)
-        ordinal sequence the scalar path uses, so both backends emit
-        identically-named spans.
+        Arrays must be in dispatch order (the drain's per-thread columns
+        are); ids continue the same per-(loop, tid) ordinal sequence the
+        scalar path uses, so both engine paths emit identically-named
+        spans.
         """
         key = (loop, tid)
         k = self._chunk_seq.get(key, 0)
@@ -445,8 +445,8 @@ class SpanRecorder:
     def as_doc(self) -> dict:
         """Canonical document: spans sorted by (t0, t1, id), edges by
         (t, kind, src, dst). Emission order — which differs between the
-        event-ordered reference backend and the columnar vectorized
-        backend — never reaches the wire."""
+        engine's event-ordered heap step and its per-thread drain
+        emission — never reaches the wire."""
         return {
             "schema": SPANS_SCHEMA,
             "context": self.context,

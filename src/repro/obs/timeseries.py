@@ -49,28 +49,6 @@ DEFAULT_CAPACITY = 256
 DEFAULT_GAMMA = 1.02
 
 
-def _grouped_minmax(
-    mins: np.ndarray, maxs: np.ndarray, idx: np.ndarray, vals: np.ndarray
-) -> None:
-    """Per-group min/max of ``vals`` grouped by ``idx``, folded into the
-    ``mins``/``maxs`` columns in place.
-
-    Equivalent to ``np.minimum.at(mins, idx, vals)`` (and the maximum
-    twin) but via a sort + ``reduceat``, which is an order of magnitude
-    faster than the unbuffered ``ufunc.at`` path on the short columns
-    the instruments feed.
-    """
-    if idx.size == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    sv = vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
-    gidx = si[starts]
-    mins[gidx] = np.minimum(mins[gidx], np.minimum.reduceat(sv, starts))
-    maxs[gidx] = np.maximum(maxs[gidx], np.maximum.reduceat(sv, starts))
-
-
 def utilization(busy_seconds: float, span_seconds: float) -> float:
     """Fraction of ``span_seconds`` covered by ``busy_seconds``.
 
@@ -157,18 +135,8 @@ class TimeSeries:
             cur = hi
 
     def observe_many(self, ts: Sequence[float], values: Sequence[float]) -> None:
-        """Record a whole column of point samples at once (sample mode).
-
-        Semantically equivalent to calling :meth:`observe` per element,
-        but the windowing runs as numpy column operations — this is the
-        bulk entry point the vectorized execution backend publishes
-        through. Determinism is preserved (the result is a pure function
-        of the observation column), though the coalescing level is
-        chosen from the index *range* rather than replayed one
-        observation at a time, so a bulk-fed series may sit one level
-        coarser than an element-fed twin. Merging stays exact either
-        way: every level is a power-of-two fold of the base window.
-        """
+        """Record a column of point samples (sample mode): exactly the
+        state :meth:`observe` per element, in order, would leave."""
         if self.mode != "sample":
             raise ObsError(
                 f"timeseries {self.name!r} is busy-mode; use observe_spans"
@@ -178,59 +146,20 @@ class TimeSeries:
                 f"timeseries {self.name!r}: observe_many got "
                 f"{len(ts)} times for {len(values)} values"
             )
-        if len(ts) == 0:
-            return
-        if len(ts) < 24:
-            # numpy's fixed per-call cost dwarfs a short column; run the
-            # same settle-then-fold sequence on scalars.
-            tl = [float(x) for x in ts]
-            vl = [float(x) for x in values]
-            w = self.window
-            idxs = [int(t // w) for t in tl]
-            shift = self._settle_level(min(idxs), max(idxs))
-            if shift:
-                idxs = [i >> shift for i in idxs]
-            points = self.points
-            for i, val in zip(idxs, vl):
-                slot = points.get(i)
-                if slot is None:
-                    points[i] = [val, 1.0, val, val]
-                else:
-                    slot[0] += val
-                    slot[1] += 1.0
-                    if val < slot[2]:
-                        slot[2] = val
-                    if val > slot[3]:
-                        slot[3] = val
-            while len(points) > self.capacity:
-                self._coalesce()
-            return
-        t = np.asarray(ts, dtype=float)
-        v = np.asarray(values, dtype=float)
-        idx = np.floor_divide(t, self.window).astype(np.int64)
-        idx >>= self._settle_level(int(idx.min()), int(idx.max()))
-        base = int(idx.min())
-        rel = idx - base
-        n_windows = int(rel.max()) + 1
-        sums = np.bincount(rel, weights=v, minlength=n_windows)
-        counts = np.bincount(rel, minlength=n_windows)
-        mins = np.full(n_windows, math.inf)
-        maxs = np.full(n_windows, -math.inf)
-        _grouped_minmax(mins, maxs, rel, v)
-        self._fold_columns(base, sums, counts.astype(float), mins, maxs)
+        add = self._add
+        level = self.level
+        w = self.window
+        for t, value in zip(ts, values):
+            add(int(t // w), float(value))
+            if self.level != level:
+                level = self.level
+                w = self.window
 
     def observe_spans(
         self, t0s: Sequence[float], t1s: Sequence[float]
     ) -> None:
-        """Record a whole column of busy spans at once (busy mode).
-
-        Each span ``[t0, t1)`` contributes exactly the same per-window
-        overlap parts :meth:`observe_span` would produce (first/last
-        windows partial, interior windows one full width each), so the
-        busy-capacity invariant (``sum <= window * norm``) carries over
-        unchanged. Interior windows are accumulated through a
-        difference-array cumsum instead of one ``_add`` per window.
-        """
+        """Record a column of busy spans (busy mode): exactly the state
+        :meth:`observe_span` per span, in order, would leave."""
         if self.mode != "busy":
             raise ObsError(
                 f"timeseries {self.name!r} is sample-mode; use observe_many"
@@ -240,136 +169,9 @@ class TimeSeries:
                 f"timeseries {self.name!r}: observe_spans got "
                 f"{len(t0s)} starts for {len(t1s)} ends"
             )
-        if len(t0s) < 24:
-            spans = [
-                (float(a), float(b)) for a, b in zip(t0s, t1s) if b > a
-            ]
-            if not spans:
-                return
-            w = self.window
-            i0s = [int(a // w) for a, _ in spans]
-            shift = self._settle_level(
-                min(i0s), max(int(b // w) for _, b in spans)
-            )
-            if shift:
-                w = self.window
-                i0s = [a // w for a, _ in spans]
-            points = self.points
-            for (a, b), i in zip(spans, i0s):
-                # The observe_span walk, minus mid-span coalescing (the
-                # level was settled for the whole column up front).
-                i = int(i)
-                cur = a
-                while True:
-                    hi = (i + 1) * w
-                    part = min(b, hi) - cur
-                    if part > 0.0:
-                        slot = points.get(i)
-                        if slot is None:
-                            points[i] = [part, 1.0, part, part]
-                        else:
-                            slot[0] += part
-                            slot[1] += 1.0
-                            if part < slot[2]:
-                                slot[2] = part
-                            if part > slot[3]:
-                                slot[3] = part
-                    if b <= hi:
-                        break
-                    cur = hi
-                    i += 1
-            while len(points) > self.capacity:
-                self._coalesce()
-            return
-        t0 = np.asarray(t0s, dtype=float)
-        t1 = np.asarray(t1s, dtype=float)
-        keep = t1 > t0
-        t0, t1 = t0[keep], t1[keep]
-        if t0.size == 0:
-            return
-        w = self.window
-        i0 = np.floor_divide(t0, w).astype(np.int64)
-        i1 = np.floor_divide(t1, w).astype(np.int64)
-        shift = self._settle_level(int(i0.min()), int(i1.max()))
-        if shift:
-            w = self.window
-            i0 = np.floor_divide(t0, w).astype(np.int64)
-            i1 = np.floor_divide(t1, w).astype(np.int64)
-        base = int(i0.min())
-        n_windows = int(i1.max()) - base + 1
-        r0, r1 = i0 - base, i1 - base
-        # Head part: from t0 to the end of its window (or to t1 when the
-        # span never leaves it). Always positive because t1 > t0.
-        head = np.minimum(t1, (i0 + 1) * w) - t0
-        # Tail part: from the final window's start to t1; zero-length
-        # tails (t1 exactly on a boundary) are skipped like observe_span
-        # skips zero parts.
-        tail = t1 - i1 * w
-        has_tail = (r1 > r0) & (tail > 0.0)
-        if np.any(has_tail):
-            part_idx = np.concatenate((r0, r1[has_tail]))
-            part_val = np.concatenate((head, tail[has_tail]))
-        else:
-            part_idx, part_val = r0, head
-        sums = np.bincount(part_idx, weights=part_val, minlength=n_windows)
-        counts = np.bincount(part_idx, minlength=n_windows).astype(float)
-        mins = np.full(n_windows, math.inf)
-        maxs = np.full(n_windows, -math.inf)
-        _grouped_minmax(mins, maxs, part_idx, part_val)
-        # Interior windows: every window strictly between the head and
-        # tail holds exactly one full width per covering span.
-        interior = r1 > r0 + 1
-        if np.any(interior):
-            dcount = np.bincount(
-                r0[interior] + 1, minlength=n_windows
-            ).astype(float)
-            dcount -= np.bincount(r1[interior], minlength=n_windows)
-            cover = np.cumsum(dcount)
-            covered = cover > 0.0
-            sums[covered] += cover[covered] * w
-            counts[covered] += cover[covered]
-            mins[covered] = np.minimum(mins[covered], w)
-            maxs[covered] = np.maximum(maxs[covered], w)
-        self._fold_columns(base, sums, counts, mins, maxs)
-
-    def _settle_level(self, min_idx: int, max_idx: int) -> int:
-        """Coalesce until the union of the existing windows and the
-        incoming index range ``[min_idx, max_idx]`` (given at the
-        *current* level) fits in ``capacity`` windows. Returns how many
-        doublings were applied."""
-        applied = 0
-        while True:
-            lo, hi = min_idx, max_idx
-            if self.points:
-                lo = min(lo, min(self.points))
-                hi = max(hi, max(self.points))
-            if hi - lo + 1 <= self.capacity:
-                return applied
-            self._coalesce()
-            min_idx >>= 1
-            max_idx >>= 1
-            applied += 1
-
-    def _fold_columns(self, base, sums, counts, mins, maxs) -> None:
-        """Merge per-window columns (at the current level) into points."""
-        nz = np.flatnonzero(counts > 0.0)
-        points = self.points
-        for i, s, c, mn, mx in zip(
-            (nz + base).tolist(), sums[nz].tolist(), counts[nz].tolist(),
-            mins[nz].tolist(), maxs[nz].tolist(),
-        ):
-            slot = points.get(i)
-            if slot is None:
-                points[i] = [s, c, mn, mx]
-            else:
-                slot[0] += s
-                slot[1] += c
-                if mn < slot[2]:
-                    slot[2] = mn
-                if mx > slot[3]:
-                    slot[3] = mx
-        while len(points) > self.capacity:
-            self._coalesce()
+        observe_span = self.observe_span
+        for t0, t1 in zip(t0s, t1s):
+            observe_span(t0, t1)
 
     def _add(self, idx: int, value: float) -> None:
         slot = self.points.get(idx)
@@ -547,31 +349,27 @@ class QuantileDigest:
         self.counts[idx] = self.counts.get(idx, 0) + 1
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a whole column of observations at once.
-
-        Equivalent to per-element :meth:`observe` up to float summation
-        order (bucket counts and the observation count are exact; the
-        running ``sum`` accumulates in numpy's reduction order). This is
-        the bulk entry point for the vectorized execution backend.
-        """
-        v = np.asarray(values, dtype=float)
-        if v.size == 0:
-            return
-        self.sum += float(v.sum())
-        self.count += int(v.size)
-        lo, hi = float(v.min()), float(v.max())
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
-        pos = v[v > 0.0]
-        self.zero += int(v.size - pos.size)
-        if pos.size:
-            idx = np.ceil(np.log(pos) / self._log_gamma).astype(np.int64)
-            buckets, counts = np.unique(idx, return_counts=True)
-            for b, c in zip(buckets, counts):
-                b = int(b)
-                self.counts[b] = self.counts.get(b, 0) + int(c)
+        """Fold a column of observations: exactly the state
+        :meth:`observe` per element, in order, would leave."""
+        log, ceil, log_gamma = math.log, math.ceil, self._log_gamma
+        counts = self.counts
+        total, n, zero = self.sum, self.count, self.zero
+        lo, hi = self.min, self.max
+        for value in values:
+            value = float(value)
+            total += value
+            n += 1
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+            if value <= 0.0:
+                zero += 1
+                continue
+            idx = ceil(log(value) / log_gamma)
+            counts[idx] = counts.get(idx, 0) + 1
+        self.sum, self.count, self.zero = total, n, zero
+        self.min, self.max = lo, hi
 
     def quantile(self, q: float) -> float:
         """The q-quantile (q in [0, 1]) of everything observed so far."""

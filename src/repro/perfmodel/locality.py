@@ -22,7 +22,7 @@ penalty is also scaled down by how cacheable the working set is).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,18 @@ from repro.perfmodel.kernel import KernelProfile
 
 @dataclass
 class LoopOwnership:
-    """Which thread touched each iteration segment last, for one loop."""
+    """Which thread touched each iteration segment last, for one loop.
+
+    Per-thread prefix sums over the owner map (``_cum[t][s]`` = segments
+    below ``s`` owned by ``t``) make every warm-fraction query O(1); they
+    are rebuilt lazily after each :meth:`update`.
+    """
 
     n_iterations: int
     segment_size: int
     owner: np.ndarray  # int16, -1 = never executed
     invocations_seen: int = 0
+    _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n_iterations: int, segments: int) -> "LoopOwnership":
@@ -49,16 +55,41 @@ class LoopOwnership:
             owner=np.full(n_seg, -1, dtype=np.int16),
         )
 
+    def _prefix(self, tid: int) -> np.ndarray:
+        cum = self._cum
+        if cum is None:
+            # Row r counts segments owned by r - 1 (row 0: never
+            # executed); one extra all-zero row serves every thread that
+            # owns nothing.
+            rows = int(self.owner.max()) + 2 if self.owner.size else 1
+            owned = self.owner[None, :] == np.arange(-1, rows - 1)[:, None]
+            cum = np.zeros((rows + 1, self.owner.size + 1))
+            np.cumsum(owned, axis=1, dtype=np.float64, out=cum[:rows, 1:])
+            self._cum = cum
+        return cum[tid + 1] if -1 <= tid < len(cum) - 2 else cum[-1]
+
     def warm_fraction(self, tid: int, lo: int, hi: int) -> float:
         """Fraction of [lo, hi) whose segments thread ``tid`` owns."""
         if hi <= lo:
             return 1.0
         s0 = lo // self.segment_size
-        s1 = (hi - 1) // self.segment_size + 1
-        segs = self.owner[s0:s1]
-        if len(segs) == 0:
+        s1 = min((hi - 1) // self.segment_size + 1, self.owner.size)
+        if s1 <= s0:
             return 1.0
-        return float(np.count_nonzero(segs == tid)) / len(segs)
+        cum = self._prefix(tid)
+        # Integer counts are exact in float64, so this is the identical
+        # float a count over the owner slice divided by its length gives.
+        return float(cum[s1] - cum[s0]) / (s1 - s0)
+
+    def warm_fractions(
+        self, tid: int, los: np.ndarray, his: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`warm_fraction` over a column of non-empty in-range
+        ranges, element for element the same floats."""
+        s0 = los // self.segment_size
+        s1 = (his - 1) // self.segment_size + 1
+        cum = self._prefix(tid)
+        return (cum[s1] - cum[s0]) / (s1 - s0)
 
     def update(self, ranges: list[tuple[int, int, int]]) -> None:
         """Record one invocation's assignment: ``(tid, lo, hi)`` tuples."""
@@ -72,6 +103,7 @@ class LoopOwnership:
                 s1 = (hi - 1) // self.segment_size + 1
                 self.owner[s0:s1] = tid
         self.invocations_seen += 1
+        self._cum = None
 
     def _update_bulk(self, ranges: list[tuple[int, int, int]]) -> None:
         """Vectorized segment painting, identical to the scalar loop.
@@ -146,14 +178,33 @@ class LocalityModel:
         from DRAM regardless of ownership, so the penalty scales with
         how much the kernel actually reuses cached data.
         """
-        if (
-            not self.enabled
-            or ownership is None
-            or ownership.invocations_seen == 0
-        ):
+        if not self.active(ownership):
             return 1.0
         cold = 1.0 - ownership.warm_fraction(tid, lo, hi)
         if cold <= 0.0:
             return 1.0
         reuse = kernel.memory_weight * (1.0 - 0.5 * kernel.mlp)
         return 1.0 + self.penalty * reuse * cold
+
+    def active(self, ownership: LoopOwnership | None) -> bool:
+        """Whether :meth:`slowdown` can return anything but 1.0."""
+        return (
+            self.enabled
+            and ownership is not None
+            and ownership.invocations_seen > 0
+        )
+
+    def slowdowns(
+        self,
+        kernel: KernelProfile,
+        ownership: LoopOwnership,
+        tid: int,
+        los: np.ndarray,
+        his: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`slowdown` over a column of non-empty ranges of an
+        :meth:`active` ownership map, element for element the same
+        floats."""
+        cold = 1.0 - ownership.warm_fractions(tid, los, his)
+        reuse = kernel.memory_weight * (1.0 - 0.5 * kernel.mlp)
+        return np.where(cold <= 0.0, 1.0, 1.0 + self.penalty * reuse * cold)

@@ -100,7 +100,7 @@ class LoopExecutor:
             scheduler decision log; defaults to the null sink (hooks are
             a single flag check, simulated results are unchanged).
         backend: execution backend for runtime-scheduled loops — a
-            registered name (``"reference"``, ``"vectorized"``,
+            registered name (``"reference"``, the simulated engine, or
             ``"real"``), a live :class:`~repro.backends.ExecutionBackend`
             instance, or ``None`` to resolve via the ``REPRO_BACKEND``
             environment variable (default ``reference``).

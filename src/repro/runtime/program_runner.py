@@ -95,7 +95,7 @@ class ProgramRunner:
             decision log. Defaults to the null sink (no overhead, results
             bit-identical to an uninstrumented run).
         backend: execution backend for runtime-scheduled loops — a
-            registered name (``"reference"``, ``"vectorized"``,
+            registered name (``"reference"``, the simulated engine, or
             ``"real"``), a live
             :class:`~repro.backends.ExecutionBackend` instance, or
             ``None`` to resolve via the ``REPRO_BACKEND`` environment

@@ -107,13 +107,15 @@ class LoopScheduler(abc.ABC):
     # -- optional introspection (overridden by AID policies) ----------------
 
     def advancement(self) -> PoolAdvancement | None:
-        """Chunk-batch advancement declaration for batching backends.
+        """Chunk-batch advancement declaration for the simulated engine.
 
-        ``None`` (the default) means the policy is stateful: a backend
+        ``None`` (the default) means the policy is stateful: the engine
         must step it one :meth:`next_range` call at a time. Policies
         whose dispatch is a pure ``workshare.take(chunk)`` return a
-        :class:`PoolAdvancement` so the vectorized backend can integrate
-        whole chunk batches in closed form.
+        :class:`PoolAdvancement`, so the engine's closed-form drain can
+        play the whole pool out without calling :meth:`next_range` (when
+        no fault plan, trace recorder or conformance recorder needs the
+        per-dispatch call sites).
         """
         return None
 

@@ -5,7 +5,7 @@ converts to seconds through a core's execution rate (1 work unit ~ 1
 second on a 1 GHz scalar baseline core for purely compute-bound code).
 
 Each model generates the full cost vector of one loop invocation at
-once (vectorized — the executor turns it into a prefix sum, making
+once (as one numpy array — the executor turns it into a prefix sum, making
 chunk-cost lookups O(1)).
 """
 

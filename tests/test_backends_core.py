@@ -1,4 +1,4 @@
-"""The execution-backend protocol: registry, selection, capabilities."""
+"""The execution-backend protocol: registry, selection, threading."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ from repro.amp.presets import odroid_xu4
 from repro.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    BackendCapabilities,
     ExecutionBackend,
     RealBackend,
     ReferenceBackend,
-    VectorizedBackend,
     backend_names,
     create_backend,
     resolve_backend,
@@ -28,11 +26,10 @@ from repro.workloads.registry import get_program
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert backend_names() == ("real", "reference", "vectorized")
+        assert backend_names() == ("real", "reference")
 
     def test_create_by_name(self):
         assert isinstance(create_backend("reference"), ReferenceBackend)
-        assert isinstance(create_backend("vectorized"), VectorizedBackend)
         assert isinstance(create_backend("real"), RealBackend)
 
     def test_create_unknown_is_typed_error(self):
@@ -42,6 +39,16 @@ class TestRegistry:
     def test_backend_error_is_a_repro_error(self):
         assert issubclass(BackendError, ReproError)
 
+    def test_vectorized_is_gone(self, monkeypatch):
+        # Its slot and drain engines were folded into reference; the old
+        # name now fails like any unknown one, explicitly or from the
+        # environment.
+        with pytest.raises(BackendError, match="registered backends"):
+            create_backend("vectorized")
+        monkeypatch.setenv(ENV_VAR, "vectorized")
+        with pytest.raises(BackendError, match=ENV_VAR):
+            resolve_backend_name(None)
+
 
 class TestSelection:
     def test_default_is_reference(self, monkeypatch):
@@ -49,15 +56,15 @@ class TestSelection:
         assert resolve_backend_name(None) == DEFAULT_BACKEND == "reference"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorized")
-        assert resolve_backend_name(None) == "vectorized"
+        monkeypatch.setenv(ENV_VAR, "real")
+        assert resolve_backend_name(None) == "real"
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorized")
+        monkeypatch.setenv(ENV_VAR, "real")
         assert resolve_backend_name("reference") == "reference"
 
     def test_invalid_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorised")
+        monkeypatch.setenv(ENV_VAR, "referense")
         with pytest.raises(BackendError, match=ENV_VAR):
             resolve_backend_name(None)
 
@@ -70,33 +77,41 @@ class TestSelection:
         assert resolve_backend(live) is live
 
     def test_resolve_backend_builds_from_name(self):
-        assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
+        assert isinstance(resolve_backend("reference"), ReferenceBackend)
+        assert isinstance(resolve_backend("real"), RealBackend)
 
 
 class TestCapabilities:
     def test_reference_is_the_full_simulator(self):
-        caps = ReferenceBackend().capabilities()
-        assert caps.simulated and caps.deterministic
-        assert caps.supports_faults and caps.supports_trace
-        assert caps.supports_check
-        assert not caps.batched
+        # Faults, trace and conformance recorders all run natively, and
+        # equal inputs give equal results.
+        from repro.check.recording import CheckContext
+        from repro.faults.model import ThrottleEvent, FaultPlan
+        from repro.tracing.trace import TraceRecorder
 
-    def test_vectorized_batches_and_delegates_the_rest(self):
-        caps = VectorizedBackend().capabilities()
-        assert caps.simulated and caps.deterministic and caps.batched
-        # Faults and tracing are supported — by delegating those runs to
-        # reference semantics, so the flags are honestly True.
-        assert caps.supports_faults and caps.supports_trace
+        def run():
+            return run_loop(
+                odroid_xu4(), parse_schedule("aid_dynamic,1,5"),
+                n_iterations=64, trace=TraceRecorder(), check=CheckContext(),
+                faults=FaultPlan((ThrottleEvent(cpu=4, t0=0.0, t1=1e-3,
+                                                factor=0.5),)),
+                backend="reference",
+            )
+
+        first = run()
+        assert sum(first.iterations) == 64
+        assert first.finish_times == run().finish_times
 
     def test_real_is_wall_clock(self):
-        caps = RealBackend().capabilities()
-        assert not caps.simulated
-        assert not caps.deterministic
+        from repro.backends.real import BODY_SLEEP_SECONDS
 
-    def test_defaults_are_conservative(self):
-        caps = BackendCapabilities()
-        assert caps.simulated and caps.deterministic
-        assert not (caps.supports_faults or caps.batched)
+        result = run_loop(
+            odroid_xu4(), parse_schedule("dynamic,4"), n_iterations=16,
+            backend="real",
+        )
+        assert sum(result.iterations) == 16
+        # Every chunk really slept on a host thread.
+        assert result.duration >= 4 * BODY_SLEEP_SECONDS
 
 
 class TestThreading:
@@ -105,12 +120,12 @@ class TestThreading:
     def test_run_loop_accepts_backend_name(self):
         result = run_loop(
             odroid_xu4(), parse_schedule("dynamic,1"), n_iterations=32,
-            backend="vectorized",
+            backend="reference",
         )
         assert sum(result.iterations) == 32
 
     def test_run_loop_accepts_live_instance(self):
-        backend = VectorizedBackend()
+        backend = ReferenceBackend()
         result = run_loop(
             odroid_xu4(), parse_schedule("dynamic,1"), n_iterations=32,
             backend=backend,
@@ -134,8 +149,10 @@ class TestThreading:
         program = get_program("EP")
         env = OmpEnv(schedule="dynamic,1", affinity="SB")
         ref = ProgramRunner(odroid_xu4(), env, backend="reference")
-        vec = ProgramRunner(odroid_xu4(), env, backend="vectorized")
+        live = ProgramRunner(odroid_xu4(), env, backend=ReferenceBackend())
+        default = ProgramRunner(odroid_xu4(), env)
         assert (
             ref.run(program).completion_time
-            == vec.run(program).completion_time
+            == live.run(program).completion_time
+            == default.run(program).completion_time
         )

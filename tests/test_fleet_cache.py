@@ -185,10 +185,10 @@ def test_backend_is_part_of_the_digest(tmp_path):
         platform=odroid_xu4(),
         env=OmpEnv(schedule="static", affinity="BS"),
         root_seed=0,
-        backend="vectorized",
+        backend="real",
     )
     assert ref.payload()["backend"] == "reference"
-    assert vec.payload()["backend"] == "vectorized"
+    assert vec.payload()["backend"] == "real"
     assert ref.key != vec.key
 
     cache = ResultCache(tmp_path)
@@ -199,7 +199,7 @@ def test_backend_is_part_of_the_digest(tmp_path):
 
 def test_env_selected_backend_pins_into_the_digest(tmp_path, monkeypatch):
     # JobSpec resolves the environment override at construction time, so
-    # a spec built under REPRO_BACKEND=vectorized carries (and hashes)
+    # a spec built under REPRO_BACKEND=real carries (and hashes)
     # the concrete name — shipping it to a fleet worker with a different
     # environment cannot change what it means.
     from repro.backends import ENV_VAR
@@ -210,19 +210,21 @@ def test_env_selected_backend_pins_into_the_digest(tmp_path, monkeypatch):
         platform=odroid_xu4(),
         env=OmpEnv(schedule="static", affinity="BS"),
         root_seed=0,
-        backend="vectorized",
+        backend="real",
     )
-    monkeypatch.setenv(ENV_VAR, "vectorized")
+    monkeypatch.setenv(ENV_VAR, "real")
     ambient = make_spec()
-    assert ambient.backend == "vectorized"
+    assert ambient.backend == "real"
     assert ambient.key == explicit.key
 
 
-def test_warm_cache_is_backend_local(tmp_path):
+def test_warm_cache_is_backend_local(tmp_path, monkeypatch):
     # A grid warmed under the reference backend replays from cache only
-    # for reference reruns; switching to vectorized recomputes every
-    # cell (and, the simulator being byte-identical, lands on the same
-    # numbers).
+    # for reference reruns; switching to another backend — here a twin
+    # of the simulated engine under its own name — recomputes every
+    # cell (and lands on the same numbers).
+    from repro.backends import ReferenceBackend
+    from repro.backends.core import _REGISTRY
     from repro.experiments.harness import ScheduleConfig, run_grid
     from repro.fleet.progress import FleetProgress
     from repro.workloads.registry import all_programs
@@ -233,10 +235,10 @@ def test_warm_cache_is_backend_local(tmp_path):
         ScheduleConfig("AID-dyn", OmpEnv(schedule="aid_dynamic,1,5")),
     )
 
-    def grid(backend):
+    def grid(backend, jobs=2):
         progress = FleetProgress()
         result = run_grid(
-            odroid_xu4(), program, configs, jobs=2, cache=tmp_path,
+            odroid_xu4(), program, configs, jobs=jobs, cache=tmp_path,
             progress=progress, backend=backend,
         )
         return result, progress.summary()
@@ -247,7 +249,8 @@ def test_warm_cache_is_backend_local(tmp_path):
     warm, s_warm = grid("reference")
     assert s_warm["cache_hits"] == 2 and s_warm["jobs_computed"] == 0
 
-    vec, s_vec = grid("vectorized")
+    monkeypatch.setitem(_REGISTRY, "twin", ReferenceBackend)
+    vec, s_vec = grid("twin", jobs=1)
     assert s_vec["cache_hits"] == 0
     assert s_vec["jobs_computed"] == 2
     assert vec.times == cold.times == warm.times

@@ -1,10 +1,11 @@
 """Bulk instrument paths vs their scalar twins.
 
-The vectorized execution backend publishes metrics through the column
-entry points (``observe_many`` / ``observe_spans``); byte-identity of
-its observability snapshots depends on those folds landing exactly where
-per-element calls would. Each test here feeds the same data down both
-paths and compares the resulting instrument state.
+The simulated engine buffers each instrument's samples into a column
+and publishes it once per loop through ``observe_many`` /
+``observe_spans``; byte-identity of its observability snapshots depends
+on those folds landing exactly where per-element calls would. Each test
+here feeds the same data down both paths and compares the resulting
+instrument state exactly.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ class TestDigestBulk:
         assert bulk.zero == scalar.zero
         assert bulk.count == scalar.count
         assert bulk.min == scalar.min and bulk.max == scalar.max
-        # sum accumulates in a different reduction order — close, not
-        # bitwise.
-        assert bulk.sum == pytest.approx(scalar.sum, rel=1e-12)
+        assert bulk.sum == scalar.sum
+        assert bulk.as_dict() == scalar.as_dict()
 
 
 def _series(mode="sample", window=1.0, capacity=256, norm=1.0):
@@ -90,9 +90,6 @@ def _series(mode="sample", window=1.0, capacity=256, norm=1.0):
 class TestTimeSeriesBulk:
     @pytest.mark.parametrize("n", [5, 23, 24, 200])
     def test_observe_many_matches_scalar(self, n):
-        # n straddles the scalar/numpy switchover (< 24 runs the scalar
-        # branch); with ample capacity neither path coalesces, so the
-        # window contents must agree exactly.
         rng = np.random.default_rng(SEED + n)
         ts = np.sort(rng.uniform(0.0, 40.0, size=n))
         vals = rng.uniform(0.0, 1.0, size=n)
@@ -112,11 +109,28 @@ class TestTimeSeriesBulk:
         bulk.observe_spans(t0, t1)
         for a, b in zip(t0, t1):
             scalar.observe_span(float(a), float(b))
-        bd, sd = bulk.as_dict(), scalar.as_dict()
-        assert bd["level"] == sd["level"]
-        assert set(bd["points"]) == set(sd["points"])
-        for k, slot in bd["points"].items():
-            assert slot == pytest.approx(sd["points"][k], abs=1e-12)
+        assert bulk.as_dict() == scalar.as_dict()
+
+    @pytest.mark.parametrize("mode", ["sample", "busy"])
+    def test_coalescing_mid_column_matches_scalar(self, mode):
+        # A capacity of 4 forces several coalesces inside one column;
+        # the bulk path must re-read the window after each, like the
+        # scalar path does.
+        rng = np.random.default_rng(SEED)
+        t0 = np.sort(rng.uniform(0.0, 40.0, size=300))
+        t1 = t0 + rng.uniform(0.0, 3.0, size=300)
+        bulk = _series(mode=mode, capacity=4, norm=2.0)
+        scalar = _series(mode=mode, capacity=4, norm=2.0)
+        if mode == "sample":
+            bulk.observe_many(t0.tolist(), t1.tolist())
+            for t, v in zip(t0, t1):
+                scalar.observe(float(t), float(v))
+        else:
+            bulk.observe_spans(t0.tolist(), t1.tolist())
+            for a, b in zip(t0, t1):
+                scalar.observe_span(float(a), float(b))
+        assert bulk.level > 0
+        assert bulk.as_dict() == scalar.as_dict()
 
     def test_zero_length_spans_are_dropped(self):
         bulk = _series(mode="busy")

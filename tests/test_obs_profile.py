@@ -142,14 +142,17 @@ class TestProfileCli:
         assert doc["backend"] == "reference"
         assert doc["wall_clock_seconds"] > 0.0
 
-    def test_profile_subcommand_backend_flag(self, tmp_path):
-        out = tmp_path / "profile-vec.json"
+    def test_profile_subcommand_backend_flag(self, tmp_path, monkeypatch):
+        # The flag beats the environment override (which would run the
+        # grid on real threads).
+        monkeypatch.setenv("REPRO_BACKEND", "real")
+        out = tmp_path / "profile-ref.json"
         assert report_main([
             "profile", "--programs", "EP", "--top", "5",
-            "--backend", "vectorized", "--json", str(out),
+            "--backend", "reference", "--json", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
-        assert doc["backend"] == "vectorized"
+        assert doc["backend"] == "reference"
 
 
 class TestTimelineCli:

@@ -69,8 +69,12 @@ class TestSpanDocument:
         "schedule", ("static", "dynamic,4", "aid_hybrid", "aid_auto")
     )
     def test_backends_serialize_byte_identical_documents(self, schedule):
-        _, ref, _ = traced_run(schedule, backend="reference")
-        _, vec, _ = traced_run(schedule, backend="vectorized")
+        # A trace recorder forces the engine's heap path; dynamic would
+        # otherwise run the closed-form drain. Both emit one document.
+        from repro.tracing.trace import TraceRecorder
+
+        _, ref, _ = traced_run(schedule)
+        _, vec, _ = traced_run(schedule, trace=TraceRecorder())
         assert json.dumps(ref, sort_keys=True) == json.dumps(
             vec, sort_keys=True
         )

@@ -93,3 +93,81 @@ def test_segment_rounding_never_crashes():
     own.update([(0, 0, 7)])
     assert own.warm_fraction(0, 0, 7) == 1.0
     assert own.warm_fraction(0, 3, 3) == 1.0  # empty range counts warm
+
+
+# -- prefix-sum warm fraction vs the count definition --------------------------
+
+
+def count_warm_fraction(own, tid, lo, hi):
+    """The count-over-the-owner-slice definition the prefix sums replace."""
+    import numpy as np
+
+    if hi <= lo:
+        return 1.0
+    s0 = lo // own.segment_size
+    s1 = (hi - 1) // own.segment_size + 1
+    segs = own.owner[s0:s1]
+    if len(segs) == 0:
+        return 1.0
+    return float(np.count_nonzero(segs == tid)) / len(segs)
+
+
+def _random_ranges(rng, n, k, max_tid):
+    out = []
+    for _ in range(k):
+        lo = int(rng.integers(0, n + 1))
+        hi = int(rng.integers(lo, n + 1))  # lo == hi: empty range
+        out.append((int(rng.integers(0, max_tid)), lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_prefix_warm_fraction_matches_count_definition(seed):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2500))
+    own = LoopOwnership.fresh(n, int(rng.integers(1, 300)))
+    max_tid = int(rng.integers(1, 12))
+
+    def check():
+        for _ in range(60):
+            tid = int(rng.integers(-1, max_tid + 2))
+            lo = int(rng.integers(0, n + 3))
+            hi = int(rng.integers(0, n + 3))
+            assert own.warm_fraction(tid, lo, hi) == count_warm_fraction(
+                own, tid, lo, hi
+            ), (tid, lo, hi)
+        # The column variant (non-empty, in-range ranges) is the same
+        # float, element for element.
+        los = rng.integers(0, n, size=40)
+        his = np.minimum(los + rng.integers(1, n + 1, size=40), n)
+        for tid in range(max_tid):
+            col = own.warm_fractions(tid, los, his)
+            assert col.tolist() == [
+                count_warm_fraction(own, tid, int(a), int(b))
+                for a, b in zip(los, his)
+            ]
+
+    check()  # fresh map: every segment unowned
+    for size in (5, 64, 65, 400):  # scalar (<= 64) and bulk update paths
+        own.update(_random_ranges(rng, n, size, max_tid))
+        check()
+
+
+def test_slowdowns_column_matches_scalar_slowdown():
+    import numpy as np
+
+    model = LocalityModel(penalty=0.35)
+    kernel = mem_kernel(mlp=0.3)
+    own = model.fresh_ownership(1000)
+    rng = np.random.default_rng(5)
+    own.update(_random_ranges(rng, 1000, 200, 4))
+    assert model.active(own)
+    los = np.arange(0, 1000, 7)
+    his = np.minimum(los + 7, 1000)
+    for tid in range(5):
+        assert model.slowdowns(kernel, own, tid, los, his).tolist() == [
+            model.slowdown(kernel, own, tid, int(a), int(b))
+            for a, b in zip(los, his)
+        ]

@@ -1,10 +1,11 @@
 """Edge cases of the simulation core: zero-length chunks, simultaneous
 event ties, and fault windows landing exactly on chunk boundaries.
 
-These are the boundaries where the reference event engine and the
-vectorized closed-form engine could most plausibly drift apart, so each
-scenario that touches scheduling is asserted byte-identical across both
-execution backends on top of its own invariant.
+These are the boundaries where the simulated engine's two paths — the
+heap step and the closed-form pool drain — could most plausibly drift
+apart, so each scenario that touches scheduling is asserted
+byte-identical across both paths on top of its own invariant. A trace
+recorder forces the heap without changing any result.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.amp.presets import odroid_xu4
-from repro.check.backend_diff import decision_bytes, result_key
+from repro.check.corpus import decision_bytes, result_key
 from repro.check.generators import preset_platform, run_loop
 from repro.errors import WorkShareError
 from repro.faults.model import plan_from_tuples
@@ -68,13 +69,10 @@ class TestZeroLengthChunks:
         # iteration and every other thread's take comes up empty.
         spec = parse_schedule(schedule)
         obs_ref, obs_vec = Observability(), Observability()
-        ref = run_loop(
-            odroid_xu4(), spec, n_iterations=1, obs=obs_ref,
-            backend="reference",
-        )
+        ref = run_loop(odroid_xu4(), spec, n_iterations=1, obs=obs_ref)
         vec = run_loop(
             odroid_xu4(), spec, n_iterations=1, obs=obs_vec,
-            backend="vectorized",
+            trace=TraceRecorder(),
         )
         assert sum(ref.iterations) == 1
         assert result_key(ref) == result_key(vec)
@@ -114,21 +112,21 @@ class TestSimultaneousEventTies:
         # Uniform costs on a flat dual:2:2 platform make same-type
         # threads finish chunks at exactly equal times; tie-breaking
         # (FIFO by wakeup order) must be reproducible run-over-run and
-        # identical between engines.
+        # identical between the drain and the heap.
         platform = preset_platform("dual:2:2")
         spec = parse_schedule("dynamic,1")
         costs = np.full(64, 1e-4)
 
-        def one(backend):
+        def one(trace):
             obs = Observability()
             r = run_loop(
                 platform, spec, n_iterations=64, costs=costs, obs=obs,
-                backend=backend,
+                trace=trace,
             )
             return result_key(r), decision_bytes(obs)
 
-        ref1, ref2 = one("reference"), one("reference")
-        vec = one("vectorized")
+        ref1, ref2 = one(None), one(None)
+        vec = one(TraceRecorder())
         assert ref1 == ref2
         assert ref1 == vec
 
@@ -165,18 +163,18 @@ class TestFaultBoundaryOnChunkBoundary:
             events = (("offline", 0, t_b),)
         plan = plan_from_tuples(events)
 
-        def one(backend):
+        def one(trace):
             obs = Observability()
             r = run_loop(
                 platform, spec, n_iterations=ni, costs=costs,
-                faults=plan, obs=obs, backend=backend,
+                faults=plan, obs=obs, trace=trace,
             )
             return r, decision_bytes(obs)
 
-        ref, ref_log = one("reference")
-        vec, vec_log = one("vectorized")
+        ref, ref_log = one(None)
+        vec, vec_log = one(TraceRecorder())
         # Every iteration still executes exactly once, the fault made
-        # the run no faster, and both backends tell the same story.
+        # the run no faster, and a traced rerun tells the same story.
         assert sum(ref.iterations) == ni
         assert ref.end_time >= ends[-1]
         assert result_key(ref) == result_key(vec)
@@ -193,11 +191,10 @@ class TestFaultBoundaryOnChunkBoundary:
         plan = plan_from_tuples((("throttle", 1, 0.0, t_b, 0.5),))
         ref = run_loop(
             platform, spec, n_iterations=ni, costs=costs, faults=plan,
-            backend="reference",
         )
         vec = run_loop(
             platform, spec, n_iterations=ni, costs=costs, faults=plan,
-            backend="vectorized",
+            trace=TraceRecorder(),
         )
         assert sum(ref.iterations) == ni
         assert result_key(ref) == result_key(vec)
