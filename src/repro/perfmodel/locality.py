@@ -178,7 +178,11 @@ class LocalityModel:
         from DRAM regardless of ownership, so the penalty scales with
         how much the kernel actually reuses cached data.
         """
-        if not self.active(ownership):
+        if (
+            not self.enabled
+            or ownership is None
+            or ownership.invocations_seen == 0
+        ):
             return 1.0
         cold = 1.0 - ownership.warm_fraction(tid, lo, hi)
         if cold <= 0.0:
@@ -187,7 +191,9 @@ class LocalityModel:
         return 1.0 + self.penalty * reuse * cold
 
     def active(self, ownership: LoopOwnership | None) -> bool:
-        """Whether :meth:`slowdown` can return anything but 1.0."""
+        """Whether :meth:`slowdown` can return anything but 1.0 (the
+        condition it checks inline, kept inline on the per-dispatch
+        path)."""
         return (
             self.enabled
             and ownership is not None
