@@ -34,9 +34,9 @@ from repro.perfmodel.kernel import KernelProfile
 class LoopOwnership:
     """Which thread touched each iteration segment last, for one loop.
 
-    Per-thread prefix sums over the owner map (``_cum[t][s]`` = segments
-    below ``s`` owned by ``t``) make every warm-fraction query O(1); they
-    are rebuilt lazily after each :meth:`update`.
+    Per-thread prefix sums over the owner map (``_cum[t + 1][s]`` =
+    segments below ``s`` owned by thread ``t``) make every warm-fraction
+    query O(1); they are rebuilt lazily after each :meth:`update`.
     """
 
     n_iterations: int
