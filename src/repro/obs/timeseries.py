@@ -21,6 +21,14 @@ axis through the snapshot pipeline:
   counts, so p50/p99/p999 survive the fleet's per-job snapshot merge
   with bounded relative error (``gamma - 1``, ~2% by default).
 
+Publication only appends: every ``observe*`` call extends a pending
+column. Each read (``points``, ``level``, ``as_dict``, ``quantile``,
+``merge_doc``, the digest fields) first folds that column with numpy,
+leaving exactly the floats a per-sample replay in call order would
+leave. A non-finite time or value is therefore reported (as
+:class:`~repro.errors.ObsError`) by the read that folds it, not by the
+append.
+
 Both instruments are registered through
 :class:`~repro.obs.registry.MetricsRegistry` (kinds ``timeseries`` and
 ``digest``), serialize deterministically into snapshots, and merge
@@ -48,6 +56,18 @@ DEFAULT_CAPACITY = 256
 #: Digest bucket growth factor: relative error is (gamma - 1) / 2.
 DEFAULT_GAMMA = 1.02
 
+#: Pending samples (or spans) an instrument holds before an append folds
+#: them early. The fold is exact wherever a column is cut, so this only
+#: bounds memory.
+PENDING_LIMIT = 1 << 16
+
+#: First lookahead of the series fold, in samples (or span parts); it
+#: doubles while no coalesce cuts a block short, and after a coalesce
+#: restarts at twice the segment that coalesce ended (at least
+#: ``_LOOKAHEAD_MIN``).
+_LOOKAHEAD = 1 << 12
+_LOOKAHEAD_MIN = 1 << 8
+
 
 def utilization(busy_seconds: float, span_seconds: float) -> float:
     """Fraction of ``span_seconds`` covered by ``busy_seconds``.
@@ -61,6 +81,137 @@ def utilization(busy_seconds: float, span_seconds: float) -> float:
     return busy_seconds / span_seconds
 
 
+def _folded(attr: str, doc: str) -> property:
+    """A read-only view of ``attr`` that folds pending samples first."""
+
+    def get(self):
+        self._fold()
+        return getattr(self, attr)
+
+    return property(get, doc=doc)
+
+
+# -- series state as sorted arrays --------------------------------------------
+#
+# A fold holds the windows as ``keys`` (sorted int64 window indices) and
+# ``vals`` (one ``[sum, count, min, max]`` row per key); at rest they
+# are the instrument's ``{index: [sum, count, min, max]}`` dict.
+
+
+def _arrays(points: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    keys = sorted(points)
+    vals = np.array([points[k] for k in keys], dtype=np.float64)
+    return np.array(keys, dtype=np.int64), vals.reshape(len(keys), 4)
+
+
+def _coalesce(keys: np.ndarray, vals: np.ndarray):
+    """Double the window: fold windows ``2k`` and ``2k+1`` into ``k``.
+
+    Each group holds at most two rows, so every reduction is one
+    (order-independent) float operation — exactly the pairwise fold.
+    """
+    if not len(keys):
+        return keys, vals
+    half = keys >> 1
+    start = np.flatnonzero(np.concatenate(([True], half[1:] != half[:-1])))
+    return half[start], np.column_stack((
+        np.add.reduceat(vals[:, 0], start),
+        np.add.reduceat(vals[:, 1], start),
+        np.minimum.reduceat(vals[:, 2], start),
+        np.maximum.reduceat(vals[:, 3], start),
+    ))
+
+
+def _coalesced(points: Mapping) -> dict:
+    """:func:`_coalesce` of an at-rest ``{index: row}`` dict."""
+    keys, vals = _coalesce(*_arrays(points))
+    return dict(zip(keys.tolist(), vals.tolist()))
+
+
+def _fold_block(keys, vals, ks, vs, capacity: int):
+    """Add samples ``(ks[i], vs[i])`` in order until one opens a window
+    that takes the series past ``capacity``.
+
+    Returns ``(keys, vals, cut)``: ``cut`` is the index of that sample
+    (folded in, the coalesce it triggers not yet applied), or -1 if the
+    whole block fitted. A new window starts from ``[-0.0, 0, inf, -inf]``
+    (``-0.0 + v`` is exactly ``v``), so it takes its first value as-is.
+    The samples are grouped by a stable sort, which keeps each window's
+    samples in call order, and ``np.add.at`` applies them one by one in
+    that order: every sum is the sequential one.
+    """
+    if not len(ks):
+        return keys, vals, -1
+    order = ks.argsort(kind="stable")
+    sk = ks[order]
+    head = np.empty(len(sk), dtype=bool)
+    head[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=head[1:])
+    uk = sk[head]
+    first = order[head]
+    pos = keys.searchsorted(uk)
+    if len(keys):
+        fresh = keys.take(pos, mode="clip") != uk
+    else:
+        fresh = np.ones(len(uk), dtype=bool)
+    room = max(capacity - len(keys), 0)
+    cut = -1
+    if np.count_nonzero(fresh) > room:
+        cut = int(np.partition(first[fresh], room)[room])
+        fresh &= first <= cut
+    # Each distinct key's row in the grown state: its old row (or
+    # insertion point) shifted past the fresh keys sorted before it.
+    shift = np.cumsum(fresh)
+    row = pos + shift - fresh
+    new_rows = row[fresh]
+    keep = np.ones(len(keys) + len(new_rows), dtype=bool)
+    keep[new_rows] = False
+    grown = np.empty(len(keep), dtype=np.int64)
+    grown[keep] = keys
+    grown[new_rows] = uk[fresh]
+    state = np.empty((len(keep), 4))
+    state[keep] = vals
+    state[new_rows] = (-0.0, 0.0, np.inf, -np.inf)
+    at = row[np.cumsum(head) - 1]
+    sv = vs[order]
+    if cut >= 0:
+        taken = order <= cut
+        at, sv = at[taken], sv[taken]
+    np.add.at(state[:, 0], at, sv)
+    state[:, 1] += np.bincount(at, minlength=len(keep))
+    np.minimum.at(state[:, 2], at, sv)
+    np.maximum.at(state[:, 3], at, sv)
+    return grown, state, cut
+
+
+def _span_parts(t0, t1, w: float, limit: int, budget: int):
+    """Split spans into their per-window parts, the scalar way.
+
+    Span ``[t0, t1)`` starts in window ``i = t0 // w``; each part is
+    ``min(t1, (i + 1) * w) - cur`` with ``cur`` the previous window's
+    upper edge, and only positive parts count. Each span yields at most
+    ``limit`` parts (a span that long must trigger a coalesce, after
+    which its tail is split again); whole spans are taken while the
+    running part count stays within ``budget`` (at least one span).
+
+    Returns ``(keys, parts, upper edges, span index, spans taken)``.
+    """
+    i0 = np.floor_divide(t0, w)
+    n = np.floor_divide(t1, w) - i0 + 2  # one spare: filtered below
+    n = np.where(t0 < t1, np.minimum(n, limit), 0).astype(np.int64)
+    total = np.cumsum(n)
+    taken = max(1, int(np.searchsorted(total, budget, side="right")))
+    n = n[:taken]
+    span = np.repeat(np.arange(taken), n)
+    k = np.arange(int(total[taken - 1])) - np.repeat(total[:taken] - n, n)
+    keys = i0[:taken].astype(np.int64)[span] + k
+    cur = np.where(k == 0, t0[span], keys * w)
+    hi = (keys + 1) * w
+    part = np.minimum(t1[span], hi) - cur
+    keep = part > 0.0
+    return keys[keep], part[keep], hi[keep], span[keep], taken
+
+
 class TimeSeries:
     """Windowed sampler over (simulated) time.
 
@@ -71,8 +222,8 @@ class TimeSeries:
     function of the observation sequence alone.
     """
 
-    __slots__ = ("name", "labels", "mode", "window0", "level", "capacity",
-                 "norm", "points")
+    __slots__ = ("name", "labels", "mode", "window0", "_level", "capacity",
+                 "norm", "_points", "_pa", "_pb")
     kind = "timeseries"
 
     def __init__(
@@ -94,10 +245,16 @@ class TimeSeries:
         self.labels = labels
         self.mode = mode
         self.window0 = float(window)
-        self.level = 0  # current window = window0 * 2**level
+        self._level = 0  # current window = window0 * 2**level
         self.capacity = int(capacity)
         self.norm = float(norm)
-        self.points: dict[int, list[float]] = {}
+        self._points: dict[int, list[float]] = {}
+        # Pending column: sample times and values, or span starts and ends.
+        self._pa: list = []
+        self._pb: list = []
+
+    level = _folded("_level", "Coalesces so far (window = window0 * 2**level).")
+    points = _folded("_points", "``{window index: [sum, count, min, max]}``.")
 
     @property
     def window(self) -> float:
@@ -112,7 +269,10 @@ class TimeSeries:
             raise ObsError(
                 f"timeseries {self.name!r} is busy-mode; use observe_span"
             )
-        self._add(int(t // self.window), float(value))
+        self._pa.append(t)
+        self._pb.append(value)
+        if len(self._pa) >= PENDING_LIMIT:
+            self._fold()
 
     def observe_span(self, t0: float, t1: float) -> None:
         """Record a busy span ``[t0, t1)``, split across the windows it
@@ -121,18 +281,10 @@ class TimeSeries:
             raise ObsError(
                 f"timeseries {self.name!r} is sample-mode; use observe"
             )
-        cur = float(t0)
-        end = float(t1)
-        while cur < end:
-            # Re-read every iteration: _add may coalesce mid-span, and
-            # the remaining tail must land in the new, wider windows.
-            w = self.window
-            i = int(cur // w)
-            hi = (i + 1) * w
-            part = min(end, hi) - cur
-            if part > 0.0:
-                self._add(i, part)
-            cur = hi
+        self._pa.append(t0)
+        self._pb.append(t1)
+        if len(self._pa) >= PENDING_LIMIT:
+            self._fold()
 
     def observe_many(self, ts: Sequence[float], values: Sequence[float]) -> None:
         """Record a column of point samples (sample mode): exactly the
@@ -146,14 +298,10 @@ class TimeSeries:
                 f"timeseries {self.name!r}: observe_many got "
                 f"{len(ts)} times for {len(values)} values"
             )
-        add = self._add
-        level = self.level
-        w = self.window
-        for t, value in zip(ts, values):
-            add(int(t // w), float(value))
-            if self.level != level:
-                level = self.level
-                w = self.window
+        self._pa.extend(ts)
+        self._pb.extend(values)
+        if len(self._pa) >= PENDING_LIMIT:
+            self._fold()
 
     def observe_spans(
         self, t0s: Sequence[float], t1s: Sequence[float]
@@ -169,66 +317,65 @@ class TimeSeries:
                 f"timeseries {self.name!r}: observe_spans got "
                 f"{len(t0s)} starts for {len(t1s)} ends"
             )
-        observe_span = self.observe_span
-        for t0, t1 in zip(t0s, t1s):
-            observe_span(t0, t1)
+        self._pa.extend(t0s)
+        self._pb.extend(t1s)
+        if len(self._pa) >= PENDING_LIMIT:
+            self._fold()
 
-    def _add(self, idx: int, value: float) -> None:
-        slot = self.points.get(idx)
-        if slot is None:
-            self.points[idx] = [value, 1.0, value, value]
-            if len(self.points) > self.capacity:
-                self._coalesce()
-        else:
-            slot[0] += value
-            slot[1] += 1.0
-            if value < slot[2]:
-                slot[2] = value
-            if value > slot[3]:
-                slot[3] = value
+    def _fold(self) -> None:
+        """Replay the pending column into the windows.
 
-    def _coalesce(self) -> None:
-        points = self.points
-        n = len(points)
-        if n > 48:
-            # Bulk fold: group by idx >> 1 with grouped reductions. Each
-            # folded key merges at most two windows (2k and 2k+1), so the
-            # pairwise float adds are order-independent and the result is
-            # identical to the sequential fold below.
-            keys = np.fromiter(points.keys(), dtype=np.int64, count=n)
-            vals = np.asarray(list(points.values()))
-            half = keys >> 1
-            order = np.argsort(half, kind="stable")
-            sh = half[order]
-            sv = vals[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], sh[1:] != sh[:-1]))
-            )
-            self.points = dict(zip(
-                sh[starts].tolist(),
-                np.column_stack((
-                    np.add.reduceat(sv[:, 0], starts),
-                    np.add.reduceat(sv[:, 1], starts),
-                    np.minimum.reduceat(sv[:, 2], starts),
-                    np.maximum.reduceat(sv[:, 3], starts),
-                )).tolist(),
-            ))
-            self.level += 1
+        The result is what adding each sample (or span part) in order
+        would leave, coalescing the moment a new window takes the series
+        past ``capacity`` and carrying on at the doubled width: a cut
+        span resumes at its old window's upper edge.
+        """
+        if not self._pa:
             return
-        folded: dict[int, list[float]] = {}
-        for idx, (s, c, lo, hi) in points.items():
-            slot = folded.get(idx >> 1)
-            if slot is None:
-                folded[idx >> 1] = [s, c, lo, hi]
+        busy = self.mode == "busy"
+        a = np.asarray(self._pa, dtype=np.float64)
+        b = np.asarray(self._pb, dtype=np.float64)
+        # Window indices must stay exact integers in float64.
+        limit = self.window0 * 2.0 ** 52
+        ok = (np.abs(a) < limit).all() and (
+            (np.abs(b) < limit).all() if busy else not np.isnan(b).any()
+        )
+        if not ok:
+            raise ObsError(
+                f"timeseries {self.name!r}: non-finite or out-of-range "
+                f"time (or NaN value) among {len(a)} pending samples"
+            )
+        self._pa, self._pb = [], []
+        keys, vals = _arrays(self._points)
+        cap, level = self.capacity, self._level
+        w = self.window0 * (2.0 ** level)
+        p, m = 0, _LOOKAHEAD
+        while p < len(a):
+            if busy:
+                ks, vs, his, spans, taken = _span_parts(
+                    a[p:p + m], b[p:p + m], w,
+                    max(cap, len(keys)) + 1, m,
+                )
             else:
-                slot[0] += s
-                slot[1] += c
-                if lo < slot[2]:
-                    slot[2] = lo
-                if hi > slot[3]:
-                    slot[3] = hi
-        self.points = folded
-        self.level += 1
+                ks = np.floor_divide(a[p:p + m], w).astype(np.int64)
+                vs = b[p:p + m]
+                taken = len(ks)
+            keys, vals, cut = _fold_block(keys, vals, ks, vs, cap)
+            if cut < 0:
+                p += taken
+                m *= 2
+                continue
+            keys, vals = _coalesce(keys, vals)
+            level += 1
+            w = self.window0 * (2.0 ** level)
+            m = max(_LOOKAHEAD_MIN, 2 * (cut + 1))
+            if busy:
+                p += int(spans[cut])
+                a[p] = his[cut]
+            else:
+                p += cut + 1
+        self._level = level
+        self._points = dict(zip(keys.tolist(), vals.tolist()))
 
     # -- merging -----------------------------------------------------------
 
@@ -252,54 +399,49 @@ class TimeSeries:
             raise ObsError(
                 f"timeseries {self.name!r} norm mismatch while merging"
             )
+        self._fold()
         level = int(doc.get("level", 0))
         incoming = {
             int(k): [float(v[0]), float(v[1]), float(v[2]), float(v[3])]
             for k, v in (doc.get("points") or {}).items()
         }
-        while self.level < level:
-            self._coalesce()
-        while level < self.level:
-            folded: dict[int, list[float]] = {}
-            for idx, (s, c, lo, hi) in incoming.items():
-                slot = folded.get(idx >> 1)
-                if slot is None:
-                    folded[idx >> 1] = [s, c, lo, hi]
-                else:
-                    slot[0] += s
-                    slot[1] += c
-                    slot[2] = min(slot[2], lo)
-                    slot[3] = max(slot[3], hi)
-            incoming = folded
+        if not self._points:
+            self._level = max(self._level, level)
+        while self._level < level:
+            self._points = _coalesced(self._points)
+            self._level += 1
+        while level < self._level:
+            incoming = _coalesced(incoming)
             level += 1
+        points = self._points
         for idx, (s, c, lo, hi) in incoming.items():
-            slot = self.points.get(idx)
+            slot = points.get(idx)
             if slot is None:
-                self.points[idx] = [s, c, lo, hi]
+                points[idx] = [s, c, lo, hi]
             else:
                 slot[0] += s
                 slot[1] += c
                 slot[2] = min(slot[2], lo)
                 slot[3] = max(slot[3], hi)
-        while len(self.points) > self.capacity:
-            self._coalesce()
+        while len(points) > self.capacity:
+            points = _coalesced(points)
+            self._level += 1
+        self._points = points
 
     # -- export ------------------------------------------------------------
 
     def as_dict(self) -> dict:
+        points = self.points
         return {
             "name": self.name,
             "labels": dict(self.labels),
             "mode": self.mode,
             "window0": self.window0,
             "window": self.window,
-            "level": self.level,
+            "level": self._level,
             "capacity": self.capacity,
             "norm": self.norm,
-            "points": {
-                str(idx): list(self.points[idx])
-                for idx in sorted(self.points)
-            },
+            "points": {str(idx): list(points[idx]) for idx in sorted(points)},
         }
 
 
@@ -314,8 +456,8 @@ class QuantileDigest:
     extrema — relative error is bounded by ``gamma - 1``.
     """
 
-    __slots__ = ("name", "labels", "gamma", "_log_gamma", "counts", "zero",
-                 "sum", "count", "min", "max")
+    __slots__ = ("name", "labels", "gamma", "_log_gamma", "_counts", "_zero",
+                 "_sum", "_count", "_min", "_max", "_pending")
     kind = "digest"
 
     def __init__(
@@ -327,65 +469,87 @@ class QuantileDigest:
         self.labels = labels
         self.gamma = float(gamma)
         self._log_gamma = math.log(self.gamma)
-        self.counts: dict[int, int] = {}
-        self.zero = 0
-        self.sum = 0.0
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
+        self._counts: dict[int, int] = {}
+        self._zero = 0
+        self._sum = 0.0
+        self._count = 0
+        self._min = math.inf
+        self._max = -math.inf
+        self._pending: list = []
+
+    counts = _folded("_counts", "``{bucket index: count}`` of positive values.")
+    zero = _folded("_zero", "Count of non-positive values.")
+    sum = _folded("_sum", "Left-to-right sum of every value.")
+    count = _folded("_count", "Number of values.")
+    min = _folded("_min", "Smallest value (``inf`` while empty).")
+    max = _folded("_max", "Largest value (``-inf`` while empty).")
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.sum += value
-        self.count += 1
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value <= 0.0:
-            self.zero += 1
-            return
-        idx = math.ceil(math.log(value) / self._log_gamma)
-        self.counts[idx] = self.counts.get(idx, 0) + 1
+        self._pending.append(value)
+        if len(self._pending) >= PENDING_LIMIT:
+            self._fold()
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a column of observations: exactly the state
+        """Record a column of observations: exactly the state
         :meth:`observe` per element, in order, would leave."""
-        log, ceil, log_gamma = math.log, math.ceil, self._log_gamma
-        counts = self.counts
-        total, n, zero = self.sum, self.count, self.zero
-        lo, hi = self.min, self.max
-        for value in values:
-            value = float(value)
-            total += value
-            n += 1
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-            if value <= 0.0:
-                zero += 1
-                continue
-            idx = ceil(log(value) / log_gamma)
-            counts[idx] = counts.get(idx, 0) + 1
-        self.sum, self.count, self.zero = total, n, zero
-        self.min, self.max = lo, hi
+        self._pending.extend(values)
+        if len(self._pending) >= PENDING_LIMIT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending values, exactly as one scalar update each.
+
+        The sum is a sequential ``cumsum`` (never a pairwise reduction),
+        and a bucket index whose ``log`` ratio lies within 1e-9 of an
+        integer is recomputed with :func:`math.log`, since numpy's
+        ``log`` may differ from libm's by an ulp.
+        """
+        if not self._pending:
+            return
+        v = np.asarray(self._pending, dtype=np.float64)
+        if not np.isfinite(v).all():
+            raise ObsError(
+                f"digest {self.name!r}: non-finite value among "
+                f"{len(v)} pending values"
+            )
+        self._pending = []
+        self._sum = float(np.cumsum(np.concatenate(([self._sum], v)))[-1])
+        self._count += len(v)
+        self._min = min(self._min, float(v.min()))
+        self._max = max(self._max, float(v.max()))
+        pos = v[v > 0.0]
+        self._zero += len(v) - len(pos)
+        if not len(pos):
+            return
+        ratio = np.log(pos) / self._log_gamma
+        idx = np.ceil(ratio)
+        near = np.abs(ratio - np.rint(ratio)) < 1e-9
+        if near.any():
+            edge, inverse = np.unique(pos[near], return_inverse=True)
+            idx[near] = np.array([
+                math.ceil(math.log(x) / self._log_gamma) for x in edge.tolist()
+            ])[inverse]
+        counts = self._counts
+        keys, hits = np.unique(idx.astype(np.int64), return_counts=True)
+        for k, c in zip(keys.tolist(), hits.tolist()):
+            counts[k] = counts.get(k, 0) + c
 
     def quantile(self, q: float) -> float:
         """The q-quantile (q in [0, 1]) of everything observed so far."""
         if not 0.0 <= q <= 1.0:
             raise ObsError(f"digest {self.name!r}: quantile {q} out of [0,1]")
-        if self.count == 0:
+        self._fold()
+        if self._count == 0:
             return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        if rank <= self.zero:
-            return min(0.0, self.max) if self.max < 0.0 else 0.0
-        seen = self.zero
-        for idx in sorted(self.counts):
-            seen += self.counts[idx]
+        rank = max(1, math.ceil(q * self._count))
+        if rank <= self._zero:
+            return min(0.0, self._max) if self._max < 0.0 else 0.0
+        seen = self._zero
+        for idx in sorted(self._counts):
+            seen += self._counts[idx]
             if seen >= rank:
-                return max(self.min, min(self.gamma ** idx, self.max))
-        return self.max  # pragma: no cover - rank <= count always matches
+                return max(self._min, min(self.gamma ** idx, self._max))
+        return self._max  # pragma: no cover - rank <= count always matches
 
     # -- merging -----------------------------------------------------------
 
@@ -396,32 +560,34 @@ class QuantileDigest:
                 f"digest {self.name!r} gamma mismatch while merging: "
                 f"{self.gamma} vs {doc.get('gamma')}"
             )
+        self._fold()
         for k, c in (doc.get("buckets") or {}).items():
             idx = int(k)
-            self.counts[idx] = self.counts.get(idx, 0) + int(c)
-        self.zero += int(doc.get("zero", 0))
-        self.sum += float(doc.get("sum", 0.0))
+            self._counts[idx] = self._counts.get(idx, 0) + int(c)
+        self._zero += int(doc.get("zero", 0))
+        self._sum += float(doc.get("sum", 0.0))
         n = int(doc.get("count", 0))
-        self.count += n
+        self._count += n
         if n > 0:
-            self.min = min(self.min, float(doc["min"]))
-            self.max = max(self.max, float(doc["max"]))
+            self._min = min(self._min, float(doc["min"]))
+            self._max = max(self._max, float(doc["max"]))
 
     # -- export ------------------------------------------------------------
 
     def as_dict(self) -> dict:
+        self._fold()
         return {
             "name": self.name,
             "labels": dict(self.labels),
             "gamma": self.gamma,
-            "zero": self.zero,
+            "zero": self._zero,
             "buckets": {
-                str(idx): self.counts[idx] for idx in sorted(self.counts)
+                str(idx): self._counts[idx] for idx in sorted(self._counts)
             },
-            "sum": self.sum,
-            "count": self.count,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
+            "sum": self._sum,
+            "count": self._count,
+            "min": self._min if self._count else 0.0,
+            "max": self._max if self._count else 0.0,
         }
 
 
