@@ -35,7 +35,7 @@ from repro.check.generators import (
 from repro.errors import ConfigError
 from repro.faults.model import plan_from_tuples
 from repro.obs import Observability, SpanRecorder
-from repro.obs.snapshot import build_snapshot, to_json
+from repro.obs.snapshot import build_snapshot
 from repro.sim.rng import stable_seed
 
 #: The committed corpus, next to the golden decision logs.
@@ -137,7 +137,9 @@ def observe_case(case: FuzzCase) -> dict[str, str]:
     Fault tuples carry *fractions of the fault-free makespan* (the fuzz
     convention), scaled by a fault-free probe run. The result digest
     covers the obs-off run; the obs-on run must reproduce the identical
-    result, or the ``result`` digest reports the difference.
+    result, or the ``result`` digest reports the difference. Each
+    artifact is hashed in a fixed form of its own, so a change of the
+    file encoders leaves the recorded digests valid.
     """
     plan = None
     if case.faults:
@@ -151,7 +153,9 @@ def observe_case(case: FuzzCase) -> dict[str, str]:
     return {
         "result": _sha(repr(key)) if observed == key else "obs-on differs",
         "decisions": _sha(decision_bytes(obs)),
-        "snapshot": _sha(to_json(snapshot)),
+        "snapshot": _sha(
+            json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+        ),
         "spans": _sha(json.dumps(spans, sort_keys=True)),
     }
 

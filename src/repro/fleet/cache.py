@@ -64,6 +64,7 @@ from pathlib import Path
 from repro.errors import FleetError
 from repro.fleet.jobs import CODE_SALT, RESULT_SCHEMA, JobResult, JobSpec
 from repro.obs import NULL_OBS
+from repro.obs.snapshot import canonical_json
 
 #: Cache entry document identifier.
 ENTRY_SCHEMA = "repro.fleet.cache-entry/v1"
@@ -159,14 +160,12 @@ class ResultCache:
     def write_manifest(self) -> None:
         self._write_atomic(
             self.manifest_path,
-            json.dumps(
+            canonical_json(
                 {
                     "schema": LAYOUT_SCHEMA,
                     "layout": LAYOUT,
                     "shard_width": SHARD_WIDTH,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             ),
         )
 
@@ -296,7 +295,7 @@ class ResultCache:
             "result": result.to_payload(),
         }
         path = self.path_for(result.digest)
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = canonical_json(doc)
         self._write_atomic(path, text)
         self._touch(result.digest, size=len(text.encode("utf-8")) + 1)
         self.evict_to_budget()
@@ -319,15 +318,13 @@ class ResultCache:
         path = self.poison_path(digest)
         self._write_atomic(
             path,
-            json.dumps(
+            canonical_json(
                 {
                     "schema": POISON_SCHEMA,
                     "digest": digest,
                     "salt": CODE_SALT,
                     "reason": reason,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             ),
         )
         if self.obs.enabled:
@@ -428,9 +425,7 @@ class ResultCache:
                 for digest in sorted(self._index["entries"])
             },
         }
-        self._write_atomic(
-            self.index_path, json.dumps(doc, sort_keys=True, indent=2)
-        )
+        self._write_atomic(self.index_path, canonical_json(doc))
         self._index_dirty = False
 
     def rebuild_index(self, entry_sizes: dict[str, int]) -> None:
@@ -569,10 +564,7 @@ class ResultCache:
         durations[spec.profile_key] = (
             duration if prev is None else 0.5 * prev + 0.5 * duration
         )
-        self._write_atomic(
-            self.durations_path,
-            json.dumps(durations, sort_keys=True, indent=2),
-        )
+        self._write_atomic(self.durations_path, canonical_json(durations))
 
     # -- maintenance -------------------------------------------------------
 

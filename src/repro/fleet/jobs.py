@@ -35,6 +35,7 @@ import numpy as np
 from repro._version import __version__
 from repro.amp.platform import Platform
 from repro.errors import FleetError
+from repro.obs.snapshot import canonical_json
 from repro.perfmodel.contention import ContentionModel
 from repro.perfmodel.overhead import OverheadModel
 from repro.runtime.env import OmpEnv
@@ -173,9 +174,7 @@ class JobSpec:
 
     def digest(self, salt: str | None = None) -> str:
         """Stable SHA-256 content digest of this job."""
-        text = json.dumps(
-            self.payload(salt), sort_keys=True, separators=(",", ":")
-        )
+        text = canonical_json(self.payload(salt))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @cached_property
@@ -323,7 +322,8 @@ class JobResult:
                 [[j, sf] for j, sf in inv] for inv in self.sf_series
             ]
         # Embed the obs snapshot as a document, not a nested JSON string:
-        # cache entries stay greppable and diffable.
+        # cache entries stay greppable (one compact line, so not
+        # line-diffable; ``python -m json.tool`` pretty-prints one).
         doc.pop("obs_json", None)
         if self.obs_json is not None:
             doc["obs"] = json.loads(self.obs_json)
@@ -350,13 +350,7 @@ class JobResult:
                         for inv in sf_series
                     )
                 ),
-                obs_json=(
-                    None
-                    if obs is None
-                    else json.dumps(
-                        obs, sort_keys=True, separators=(",", ":")
-                    )
-                ),
+                obs_json=None if obs is None else canonical_json(obs),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FleetError(f"malformed job-result payload: {exc}") from exc

@@ -15,10 +15,10 @@ are scaled by 1e6.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.snapshot import canonical_json
 from repro.obs.timeseries import series_values
 from repro.tracing.trace import Timeline, TraceRecorder
 
@@ -226,7 +226,7 @@ def export_chrome_trace(
             process_name=process_name, spans=spans, edges=edges,
         ),
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    text = canonical_json(doc) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text

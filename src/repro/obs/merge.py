@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import ObsError
 from repro.obs.registry import KIND_PLURALS, Histogram, MetricsRegistry
-from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA
+from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA, canonical_json
 from repro.obs.timeseries import QuantileDigest, TimeSeries
 
 #: Per-job snapshot document identifier. v2 added the time-resolved
@@ -147,10 +147,10 @@ def job_snapshot(obs) -> dict:
 
 
 def job_snapshot_json(obs) -> str:
-    """Canonical (sorted-keys, compact) serialization of the per-job
-    document — the form :class:`~repro.fleet.jobs.JobResult` stores, so
-    snapshot equality is plain string equality."""
-    return json.dumps(job_snapshot(obs), sort_keys=True, separators=(",", ":"))
+    """Canonical serialization of the per-job document — the form
+    :class:`~repro.fleet.jobs.JobResult` stores, so snapshot equality is
+    plain string equality."""
+    return canonical_json(job_snapshot(obs))
 
 
 def merge_metrics_into(

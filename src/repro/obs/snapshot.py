@@ -8,6 +8,10 @@ design requirement (a satellite test asserts byte-identical snapshots
 from identical seeded runs), so: keys are sorted, metrics are sorted by
 (name, labels) inside the registry, and no wall-clock timestamps are
 stamped here — pass run identity through ``meta`` if you need it.
+
+Every machine-written observability and fleet-cache document goes
+through :func:`canonical_json`: sorted keys, compact separators, one
+line. ``python -m json.tool FILE`` pretty-prints a file for reading.
 """
 
 from __future__ import annotations
@@ -42,9 +46,18 @@ def build_snapshot(obs, meta: Mapping[str, object] | None = None) -> dict:
     return doc
 
 
+def canonical_json(obj) -> str:
+    """The canonical JSON form: sorted keys, no whitespace.
+
+    ``json.dumps`` runs its C encoder only without ``indent``, so this
+    form is also the fast one.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def to_json(snapshot: Mapping[str, object]) -> str:
-    """Canonical serialization (sorted keys, 2-space indent)."""
-    return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+    """Snapshot file text: the canonical form plus a final newline."""
+    return canonical_json(snapshot) + "\n"
 
 
 def write_snapshot(

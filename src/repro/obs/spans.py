@@ -53,9 +53,10 @@ Categories carried by spans (``cat``):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+from repro.obs.snapshot import canonical_json
 
 #: Span document schema identifier.
 SPANS_SCHEMA = "repro.obs.spans/v1"
@@ -465,8 +466,7 @@ class SpanRecorder:
         }
 
     def as_json(self) -> str:
-        return json.dumps(self.as_doc(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.as_doc())
 
 
 def load_span_doc(doc: Mapping) -> list[Span]:

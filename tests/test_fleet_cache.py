@@ -1,10 +1,14 @@
 """Tests for the content-addressed fleet result cache."""
 
+import json
+
 from repro.amp.presets import odroid_xu4
+from repro.fleet import FleetConfig, FleetProgress, run_jobs, scrub_cache
 from repro.fleet import jobs as jobs_mod
 from repro.fleet.cache import ResultCache
 from repro.fleet.jobs import JobSpec
 from repro.obs import Observability
+from repro.obs.snapshot import canonical_json
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
 
@@ -153,6 +157,50 @@ def test_duration_estimates_feed_lpt(tmp_path):
     assert cache.duration_estimate(make_spec(seed=9)) == 1.5
     # And a fresh cache object reads it back from disk.
     assert ResultCache(tmp_path).duration_estimate(spec) == 1.5
+
+
+def test_entries_are_written_in_canonical_form(tmp_path):
+    cache = ResultCache(tmp_path)
+    path = cache.put(make_spec().execute())
+    text = path.read_text(encoding="utf-8")
+    assert text == canonical_json(json.loads(text)) + "\n"
+
+
+def test_indented_entry_stays_a_valid_hit(tmp_path):
+    # Caches were once written with a 2-space indent. The layout is
+    # whitespace only, so such an entry is a hit without a recompute,
+    # and the scrub calls it healthy.
+    obs = Observability()
+    cache = ResultCache(tmp_path, obs=obs)
+    spec = make_spec()
+    result = spec.execute()
+    assert result.obs_json is not None
+    cache.put(result)
+    path = cache.path_for(spec.key)
+    for written in tmp_path.rglob("*.json"):  # entry, manifest, index
+        doc = json.loads(written.read_text(encoding="utf-8"))
+        written.write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+    assert path.read_text(encoding="utf-8").startswith('{\n  "digest"')
+    fresh = ResultCache(tmp_path, obs=obs)
+    assert fresh.get(spec.key) == result
+    assert path.is_file()
+    assert not list(tmp_path.rglob("*.corrupt"))
+    assert not [
+        c for c in obs.registry.snapshot()["counters"]
+        if c["name"] == "fleet_cache_corrupt_total"
+    ]
+    progress = FleetProgress()
+    (outcome,) = run_jobs(
+        [spec], FleetConfig(jobs=1), cache=fresh, progress=progress
+    )
+    assert outcome.result == result
+    assert progress.count("fleet_cache_hits") == 1
+    assert progress.count("fleet_jobs_computed") == 0
+    report = scrub_cache(fresh)
+    assert report.clean and report.ok == 1
 
 
 def test_atomic_writes_leave_no_temp_files(tmp_path):

@@ -10,6 +10,7 @@ from repro.amp.presets import dual_speed_platform
 from repro.errors import ObsError
 from repro.obs import Observability
 from repro.obs.chrome_trace import export_chrome_trace, to_trace_events
+from repro.obs.merge import job_snapshot, job_snapshot_json
 from repro.obs.report import main as report_main
 from repro.obs.snapshot import (
     SCHEMA,
@@ -231,6 +232,13 @@ class TestSnapshot:
         assert to_json(doc) == text
         assert doc["metrics"]["counters"]
         assert doc["decisions"] == obs.decisions.records
+        # The file form is pinned: sorted keys, no whitespace, one final
+        # newline — and the per-job encoder is the same encoder.
+        nested = {"b": [1, 2.5, {"z": None, "a": "x y"}], "a": {"c": True}}
+        assert to_json(nested) == (
+            '{"a":{"c":true},"b":[1,2.5,{"a":"x y","z":null}]}\n'
+        )
+        assert to_json(job_snapshot(obs)) == job_snapshot_json(obs) + "\n"
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
